@@ -12,9 +12,6 @@ use overton::{OvertonOptions, Project, Run, Stage};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Times the input generation is repeated in setup (`setup_s` is the
-/// median).
-pub const SETUPS: usize = 3;
 /// Final training epochs (search trials train for one).
 const EPOCHS: usize = 3;
 
@@ -22,12 +19,11 @@ const EPOCHS: usize = 3;
 pub struct Inputs {
     pub schema: PathBuf,
     pub data: PathBuf,
-    /// Seconds each repetition of the input generation took.
-    pub gen_s: Vec<f64>,
+    config: WorkloadConfig,
 }
 
-/// The build phase's output: the (last) completed run and the project
-/// that built it, whose options every later run of the benchmark uses.
+/// The first build's output: the completed run and the project that
+/// built it, whose options every later run of the benchmark uses.
 pub struct Built {
     pub run: Run,
     pub project: Project,
@@ -60,9 +56,8 @@ pub fn options(ctx: &Ctx) -> OvertonOptions {
     }
 }
 
-/// Writes the seeded two-file workload [`SETUPS`] times (into separate
-/// directories) and keeps the first.
-pub fn setup_inputs(ctx: &mut Ctx) -> Inputs {
+/// Writes the seeded two-file workload the run builds from.
+pub fn setup_inputs(ctx: &Ctx) -> Inputs {
     let rows = ctx.plan.train_rows;
     let config = WorkloadConfig {
         n_train: rows,
@@ -71,17 +66,20 @@ pub fn setup_inputs(ctx: &mut Ctx) -> Inputs {
         seed: ctx.seed,
         ..Default::default()
     };
-    let mut gen_s = Vec::new();
-    let mut first = None;
-    for k in 0..SETUPS {
-        let start = Instant::now();
-        let files = write_two_file_workload(&config, ctx.work.join(format!("inputs-{k}")))
-            .expect("write the two-file workload");
-        gen_s.push(start.elapsed().as_secs_f64());
-        first.get_or_insert(files);
-    }
-    let (schema, data) = first.expect("at least one setup");
-    Inputs { schema, data, gen_s }
+    let (schema, data) = write_two_file_workload(&config, ctx.work.join("inputs"))
+        .expect("write the two-file workload");
+    Inputs { schema, data, config }
+}
+
+/// Seconds one more generation of the same inputs takes (into a scratch
+/// directory that is removed afterwards): the input part of `setup_s`.
+pub fn time_inputs(ctx: &Ctx, inputs: &Inputs) -> f64 {
+    let dir = ctx.work.join("inputs-again");
+    let start = Instant::now();
+    write_two_file_workload(&inputs.config, &dir).expect("write the two-file workload");
+    let secs = start.elapsed().as_secs_f64();
+    std::fs::remove_dir_all(&dir).ok();
+    secs
 }
 
 /// One full build: `Project::start` (ingest) then `Run::advance` through
@@ -101,60 +99,80 @@ fn build_once(tracer: &Tracer, project: &Project) -> Result<Run, String> {
         .0
 }
 
-/// Builds repeatedly for the phase's share of the run (at least three times;
-/// a traced run alternates traced and untraced builds, at least twice
-/// each). Reports `build_s` and `test_accuracy`, and checks that every
-/// repeat reached the same accuracy bit for bit.
-pub fn build_phase(ctx: &mut Ctx, inputs: &Inputs) -> Built {
-    let project = Project::from_files(&inputs.schema, &inputs.data).with_options(options(ctx));
-    let plain = Tracer::new(false);
-    let traced_run = ctx.tracer.enabled();
-    let min_reps = if traced_run { 4 } else { 3 };
-    let (mut traced_s, mut plain_s) = (Vec::new(), Vec::new());
-    let mut accuracies: Vec<f64> = Vec::new();
-    let mut last = None;
-    let start = Instant::now();
-    for rep in 0.. {
-        if rep >= min_reps && start.elapsed().as_secs_f64() >= ctx.budget(0) {
-            break;
+/// The builds of one run: one per round (a traced run alternates traced
+/// and untraced builds). Reports `build_s` and `test_accuracy`, and
+/// checks that every repeat reached the same accuracy bit for bit.
+pub struct Builds {
+    project: Project,
+    plain: Tracer,
+    traced_s: Vec<f64>,
+    plain_s: Vec<f64>,
+    accuracies: Vec<f64>,
+}
+
+impl Builds {
+    pub fn new(ctx: &Ctx, inputs: &Inputs) -> Builds {
+        Builds {
+            project: Project::from_files(&inputs.schema, &inputs.data).with_options(options(ctx)),
+            plain: Tracer::new(false),
+            traced_s: Vec::new(),
+            plain_s: Vec::new(),
+            accuracies: Vec::new(),
         }
-        let traced = traced_run && rep % 2 == 0;
+    }
+
+    /// Builds once; `None` (with the failure recorded) when it failed.
+    pub fn once(&mut self, ctx: &mut Ctx) -> Option<Run> {
+        let traced = ctx.tracer.enabled() && self.traced_s.len() <= self.plain_s.len();
         let t0 = Instant::now();
-        let run = build_once(if traced { &ctx.tracer } else { &plain }, &project);
+        let run = build_once(if traced { &ctx.tracer } else { &self.plain }, &self.project);
         let secs = t0.elapsed().as_secs_f64();
         ctx.attempted += 1;
         match run {
             Ok(run) => {
-                if traced { &mut traced_s } else { &mut plain_s }.push(secs);
-                accuracies.push(run.mean_test_accuracy());
-                last = Some(run);
+                if traced { &mut self.traced_s } else { &mut self.plain_s }.push(secs);
+                self.accuracies.push(run.mean_test_accuracy());
+                Some(run)
             }
             Err(e) => {
                 ctx.failed += 1;
                 ctx.check(false, || format!("build failed: {e}"));
+                None
             }
         }
     }
-    let run = last.expect("no build completed");
-    ctx.check(accuracies.iter().all(|a| a.to_bits() == accuracies[0].to_bits()), || {
-        format!("test accuracy differs across identical builds: {accuracies:?}")
-    });
-    let all: Vec<f64> = traced_s.iter().chain(&plain_s).copied().collect();
-    ctx.end_to_end.put("build_s", median(&all), "s");
-    ctx.end_to_end.put("test_accuracy", accuracies[0], "fraction");
-    println!(
-        "build: {} rows, {} builds, median {:.3} s, chosen {:?}/{:?}, test accuracy {:.6}",
-        run.store().len(),
-        all.len(),
-        median(&all),
-        run.chosen_config().map(|c| c.encoder),
-        run.chosen_config().map(|c| c.aggregation),
-        accuracies[0]
-    );
-    if traced_run {
-        per_layer(ctx, &run, &traced_s, &plain_s);
+
+    /// The first build, which every later phase serves and repairs.
+    pub fn first(&mut self, ctx: &mut Ctx, inputs: &Inputs) -> Option<Built> {
+        let run = self.once(ctx)?;
+        let project = Project::from_files(&inputs.schema, &inputs.data).with_options(options(ctx));
+        Some(Built { run, project })
     }
-    Built { run, project }
+
+    pub fn report(self, ctx: &mut Ctx, built: &Built) {
+        let accuracies = &self.accuracies;
+        ctx.check(accuracies.iter().all(|a| a.to_bits() == accuracies[0].to_bits()), || {
+            format!("test accuracy differs across identical builds: {accuracies:?}")
+        });
+        let all: Vec<f64> = self.traced_s.iter().chain(&self.plain_s).copied().collect();
+        ctx.end_to_end.put("build_s", median(&all), "s");
+        if !ctx.plan.retrained_accuracy {
+            ctx.end_to_end.put("test_accuracy", accuracies[0], "fraction");
+        }
+        let run = &built.run;
+        println!(
+            "build: {} rows, {} builds, {:?} s, chosen {:?}/{:?}, test accuracy {:.6}",
+            run.store().len(),
+            all.len(),
+            all.iter().map(|s| (s * 1e3).round() / 1e3).collect::<Vec<_>>(),
+            run.chosen_config().map(|c| c.encoder),
+            run.chosen_config().map(|c| c.aggregation),
+            accuracies[0]
+        );
+        if ctx.tracer.enabled() {
+            per_layer(ctx, run, &self.traced_s, &self.plain_s);
+        }
+    }
 }
 
 fn per_layer(ctx: &mut Ctx, run: &Run, traced_s: &[f64], plain_s: &[f64]) {
@@ -193,11 +211,4 @@ fn per_layer(ctx: &mut Ctx, run: &Run, traced_s: &[f64], plain_s: &[f64]) {
     );
     let (traced, plain) = (median(traced_s), median(plain_s));
     m.put("trace.build_overhead_frac", (traced - plain) / plain, "fraction");
-}
-
-/// `setup_s`: the median over the setups of generating the inputs plus
-/// bringing a deployment up.
-pub fn report_setup(ctx: &mut Ctx, inputs: &Inputs, deploy_s: &[f64]) {
-    let setups: Vec<f64> = inputs.gen_s.iter().zip(deploy_s).map(|(g, d)| g + d).collect();
-    ctx.end_to_end.put("setup_s", median(&setups), "s");
 }

@@ -39,8 +39,6 @@ pub enum Status {
 #[derive(Debug, Clone)]
 pub struct Outcome {
     pub template: usize,
-    /// Due time, from the schedule's start.
-    pub due: Duration,
     /// How late the generator sent the request.
     pub late: Duration,
     /// From the due time to the end of reading the response.
@@ -158,7 +156,6 @@ fn send(
     let headers: Vec<(&str, &str)> = trace.map(|id| ("x-overton-trace", id)).into_iter().collect();
     let mut outcome = Outcome {
         template: planned.template,
-        due: planned.due,
         late: Duration::ZERO,
         latency: Duration::ZERO,
         sent: Instant::now(),

@@ -15,6 +15,11 @@
 //! warm-started incremental retrain and its significance gate. The
 //! workloads differ in where the measured time goes (see `Plan`).
 //!
+//! The phases run interleaved, in rounds, for the whole of `--seconds`,
+//! so that each metric's samples are spread over the run: a slow spell
+//! of the host then moves a few samples of every metric instead of all
+//! samples of one.
+//!
 //! With `--trace 0` the last line of standard output is a JSON object
 //! with the end-to-end metrics; with `--trace 1` it holds the per-layer
 //! metrics, measured from spans the benchmark records around each call
@@ -36,23 +41,55 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Where one workload spends its measured time. Every workload runs
-/// every phase (so every metric is measured on every workload); the
-/// shares of `--seconds` and the input sizes differ.
+/// every phase in every round (so every metric is measured on every
+/// workload); the input size and what a round holds differ.
 #[derive(Debug)]
 pub struct Plan {
     pub name: &'static str,
     /// Training rows of the generated two-file workload (dev and test
     /// add a tenth and a fifth of this).
     pub train_rows: usize,
-    /// Shares of `--seconds` for the build, serve and loop phases.
-    pub shares: [f64; 3],
+    /// Seconds of nominal serving load per round, as a share of
+    /// `--seconds`, served in equal slices after the build and after each
+    /// episode.
+    pub serve_share: f64,
+    /// Repair episodes per round.
+    pub episodes: usize,
+    /// Whether `test_accuracy` is the retrained run's (the loop's) rather
+    /// than the built run's.
+    pub retrained_accuracy: bool,
 }
 
 const PLANS: [Plan; 3] = [
-    Plan { name: "build", train_rows: 3000, shares: [0.35, 0.45, 0.2] },
-    Plan { name: "serve", train_rows: 1200, shares: [0.15, 0.65, 0.2] },
-    Plan { name: "loop", train_rows: 2000, shares: [0.15, 0.45, 0.4] },
+    Plan {
+        name: "build",
+        train_rows: 3000,
+        serve_share: 0.08,
+        episodes: 2,
+        retrained_accuracy: false,
+    },
+    Plan {
+        name: "serve",
+        train_rows: 1200,
+        serve_share: 0.15,
+        episodes: 1,
+        retrained_accuracy: false,
+    },
+    Plan {
+        name: "loop",
+        train_rows: 2000,
+        serve_share: 0.08,
+        episodes: 2,
+        retrained_accuracy: true,
+    },
 ];
+
+/// Fewest rounds a run makes (a traced run makes at least four, so that
+/// traced and untraced builds and serving slices both repeat).
+const MIN_ROUNDS: usize = 3;
+/// Input generations and deployments timed per round (`setup_s` is the
+/// median of their sums).
+const SETUPS_PER_ROUND: usize = 3;
 
 /// Longest a run may take before it is failed.
 const RUN_DEADLINE: std::time::Duration = std::time::Duration::from_secs(170);
@@ -84,10 +121,6 @@ impl Ctx {
             eprintln!("check failed: {msg}");
             self.failures.push(msg);
         }
-    }
-
-    pub fn budget(&self, phase: usize) -> f64 {
-        self.seconds * self.plan.shares[phase]
     }
 }
 
@@ -216,11 +249,43 @@ fn check_layers(ctx: &mut Ctx) {
     }
 }
 
-/// Runs every phase of the loop on the plan's inputs.
+/// Runs every phase of the loop on the plan's inputs, in rounds until
+/// `--seconds` have passed: each round times the set-up, builds, serves
+/// slices of nominal load and repairs. A failure ends the rounds.
 fn run(ctx: &mut Ctx) {
     let inputs = build::setup_inputs(ctx);
-    let built = build::build_phase(ctx, &inputs);
-    let deploy_s = serve::serve_phase(ctx, &built);
-    repair::loop_phase(ctx, &inputs, &built);
-    build::report_setup(ctx, &inputs, &deploy_s);
+    let start = Instant::now();
+    let mut builds = build::Builds::new(ctx, &inputs);
+    let Some(built) = builds.first(ctx, &inputs) else { return };
+    let mut serving = serve::Serving::start(ctx, &built);
+    let mut episodes = Vec::new();
+    let mut setups = Vec::new();
+    let min_rounds = if ctx.tracer.enabled() { MIN_ROUNDS + 1 } else { MIN_ROUNDS };
+    for round in 0.. {
+        if round >= min_rounds && start.elapsed().as_secs_f64() >= ctx.seconds {
+            break;
+        }
+        for _ in 0..SETUPS_PER_ROUND {
+            setups.push(build::time_inputs(ctx, &inputs) + serve::time_deploy(ctx, &built));
+        }
+        if round > 0 {
+            builds.once(ctx);
+        }
+        serving.slice(ctx);
+        for _ in 0..ctx.plan.episodes {
+            if !repair::run_episode(ctx, &inputs, &built, &mut episodes) {
+                break;
+            }
+            serving.slice(ctx);
+        }
+        if !ctx.failures.is_empty() {
+            break;
+        }
+    }
+    ctx.end_to_end.put("setup_s", report::median(&setups), "s");
+    let ms = setups.iter().map(|s| (s * 1e4).round() / 10.0).collect::<Vec<f64>>();
+    println!("setup: {} rounds, {ms:?} ms", setups.len() / SETUPS_PER_ROUND);
+    builds.report(ctx, &built);
+    serving.finish(ctx);
+    repair::report(ctx, &episodes);
 }

@@ -5,10 +5,15 @@
 //! is deployed with a `Monitor` attached. Gold-labelled drifting traffic
 //! is served in window-sized bursts. On the first alert on the drifted
 //! slice the watchdog captures that slice's traffic into the live store,
-//! `flush` seals it as a delta, a snapshot is pinned, and
-//! `retrain_for_slice_incremental` warm-starts from the built run and
-//! runs the significance gate. Warm runs never search, so this path
-//! bypasses architecture search and JSONL ingest.
+//! `flush` seals it as a delta, a snapshot is pinned, the compactor is
+//! kicked, and `retrain_for_slice_incremental` warm-starts from the built
+//! run and runs the significance gate while the compactor merges the
+//! delta into a new base underneath the pinned snapshot. Warm runs never
+//! search, so this path bypasses architecture search and JSONL ingest.
+//!
+//! Every episode of a run replays the same seeded traffic, so the
+//! retrained run's accuracy must come out bit-identical each time,
+//! however the compaction interleaved with the retrain.
 
 use crate::build::{Built, Inputs};
 use crate::report::{mean, median};
@@ -23,20 +28,24 @@ use overton::stats::{evaluate_promotion, DEFAULT_ALPHA};
 use overton::store::{LiveStore, Record};
 use overton::{Project, RunReport, Stage};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Requests per monitor window (and per served burst).
 const WINDOW: u64 = 256;
 /// Stationary windows before the drift begins.
 const PRE_DRIFT_WINDOWS: u64 = 6;
-/// Fewest episodes a run makes.
-const MIN_EPISODES: u64 = 3;
 /// Drifted windows served before an episode without an alert fails.
 const MAX_DRIFT_WINDOWS: u64 = 8;
+/// Longest the background compactor may take to commit the captured
+/// delta before the episode fails.
+const COMPACT_DEADLINE: Duration = Duration::from_secs(20);
 
 /// One episode's measurements.
-struct Episode {
+pub struct Episode {
     repair_s: f64,
+    /// Mean test accuracy of the retrained run.
+    accuracy: f64,
     detect_windows: f64,
     false_alerts: f64,
     alerts: f64,
@@ -54,35 +63,54 @@ struct Episode {
     meter_remaining: f64,
 }
 
-pub fn loop_phase(ctx: &mut Ctx, inputs: &Inputs, built: &Built) {
-    let start = Instant::now();
-    let mut episodes = Vec::new();
-    for k in 0.. {
-        if k >= MIN_EPISODES && start.elapsed().as_secs_f64() >= ctx.budget(2) {
-            break;
+/// Runs one more episode and appends it to `episodes`; `false` (with
+/// the failure recorded) when it failed.
+pub fn run_episode(
+    ctx: &mut Ctx,
+    inputs: &Inputs,
+    built: &Built,
+    episodes: &mut Vec<Episode>,
+) -> bool {
+    let k = episodes.len();
+    ctx.attempted += 1;
+    match episode(ctx, inputs, built, k) {
+        Ok(e) => {
+            episodes.push(e);
+            true
         }
-        ctx.attempted += 1;
-        match episode(ctx, inputs, built, k) {
-            Ok(e) => episodes.push(e),
-            Err(e) => {
-                ctx.failed += 1;
-                ctx.check(false, || format!("loop episode {k}: {e}"));
-                return;
-            }
+        Err(e) => {
+            ctx.failed += 1;
+            ctx.check(false, || format!("loop episode {k}: {e}"));
+            false
         }
+    }
+}
+
+/// Reports the end-to-end and per-layer metrics of the episodes.
+pub fn report(ctx: &mut Ctx, episodes: &[Episode]) {
+    if episodes.is_empty() {
+        return;
     }
     let col = |f: &dyn Fn(&Episode) -> f64| episodes.iter().map(f).collect::<Vec<f64>>();
     let repair_s = median(&col(&|e| e.repair_s));
     let detect = mean(&col(&|e| e.detect_windows));
+    let accuracies = col(&|e| e.accuracy);
+    ctx.check(accuracies.iter().all(|a| a.to_bits() == accuracies[0].to_bits()), || {
+        format!("retrained test accuracy differs across identical episodes: {accuracies:?}")
+    });
     ctx.end_to_end.put("repair_s", repair_s, "s");
     ctx.end_to_end.put("detect_windows", detect, "windows");
+    if ctx.plan.retrained_accuracy {
+        ctx.end_to_end.put("test_accuracy", accuracies[0], "fraction");
+    }
     println!(
         "loop: {} episodes, repair {:?} s, detect {detect:.2} windows, \
-         false alerts {:?}, captured {:?}",
+         false alerts {:?}, captured {:?}, retrained test accuracy {:.6}",
         episodes.len(),
         col(&|e| (e.repair_s * 1e3).round() / 1e3),
         col(&|e| e.false_alerts),
-        col(&|e| e.captured)
+        col(&|e| e.captured),
+        accuracies[0]
     );
     if !ctx.tracer.enabled() {
         return;
@@ -114,7 +142,7 @@ pub fn loop_phase(ctx: &mut Ctx, inputs: &Inputs, built: &Built) {
     m.put("monitor.meter_remaining", median(&col(&|e| e.meter_remaining)), "count");
 }
 
-fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: u64) -> Result<Episode, String> {
+fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: usize) -> Result<Episode, String> {
     let root = ctx.work.join(format!("episode-{k}"));
     let project = Project::from_files(&inputs.schema, &inputs.data)
         .with_options(built.project.options().clone())
@@ -138,10 +166,7 @@ fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: u64) -> Result<Epis
     let mut stream = DriftingTrafficStream::new(
         &kb,
         DriftConfig {
-            base: TrafficConfig {
-                seed: ctx.seed.wrapping_mul(1009).wrapping_add(k),
-                ..Default::default()
-            },
+            base: TrafficConfig { seed: ctx.seed.wrapping_mul(1009), ..Default::default() },
             drift_start: (PRE_DRIFT_WINDOWS * WINDOW) as usize,
             drift_ramp: WINDOW as usize,
             ..Default::default()
@@ -172,7 +197,8 @@ fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: u64) -> Result<Epis
     let Some(alert_window) = alert else {
         return Err(format!("no alert on {DRIFTED} within {MAX_DRIFT_WINDOWS} drifted windows"));
     };
-    // The repair: capture, seal, pin, warm retrain and gate.
+    // The repair: capture, seal, pin, kick the compactor, warm retrain
+    // and gate.
     let watchdog = Watchdog::new(WatchdogConfig {
         min_severity: Severity::Warning,
         sustain_windows: 1,
@@ -186,14 +212,20 @@ fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: u64) -> Result<Epis
         let (flushed, flush) = tracer.span("store.live.flush", || live.flush());
         flushed.map_err(|e| format!("flush: {e}"))?;
         let (snapshot, snap) = tracer.span("store.live.snapshot", || live.snapshot());
+        let commit = watch_commit(&live, snapshot.generation());
+        compactor.kick();
         let (report, retrain) = tracer.span("core.incremental", || {
             project.retrain_for_slice_incremental(&built.run, &snapshot, DRIFTED)
         });
         let report = report.map_err(|e| format!("incremental retrain: {e}"))?;
-        Ok::<_, String>((captured, capture, flush, snap, retrain, report, snapshot))
+        Ok::<_, String>((captured, capture, flush, snap, retrain, report, snapshot, commit))
     });
     let repair_s = repair_start.elapsed().as_secs_f64();
-    let (captured, capture, flush, snap, retrain, report, snapshot) = repaired?;
+    let (captured, capture, flush, snap, retrain, report, snapshot, commit) = repaired?;
+    // The background compaction kicked before the retrain: when it
+    // committed, and how many generations it committed.
+    let compact = commit.join().map_err(|_| "the compaction watcher panicked")?;
+    let compactions = live.generation() - snapshot.generation();
 
     // Checks: the retrain warm-started from the pinned snapshot, never
     // searched, and its gate decision replays bit for bit.
@@ -232,15 +264,22 @@ fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: u64) -> Result<Epis
     }
     drop(snapshot);
 
-    // Compaction: stop the background compactor, compact what is left,
-    // and verify the store.
+    // Compaction: the background compactor merged the captured delta into
+    // a new base; stop it and verify the store.
     compactor.stop();
     if let Some(e) = live.take_compact_error() {
         problems.push(format!("background compaction failed: {e}"));
     }
-    let deltas = live.num_deltas();
-    let (compacted, compact) = tracer.span("store.live.compact", || live.compact());
-    compacted.map_err(|e| format!("compact: {e}"))?;
+    let Some(compact) = compact else {
+        return Err(format!("the background compactor did not commit within {COMPACT_DEADLINE:?}"));
+    };
+    tracer.record("store.live.compact", compact, None, None);
+    if compactions != 1 || live.num_deltas() != 0 {
+        problems.push(format!(
+            "the kicked compaction committed {compactions} generations and left {} deltas",
+            live.num_deltas()
+        ));
+    }
     if let Err(e) = live.verify() {
         problems.push(format!("LiveStore::verify after compaction: {e}"));
     }
@@ -252,6 +291,7 @@ fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: u64) -> Result<Epis
         monitor.alerts().iter().filter(|a| a.window < PRE_DRIFT_WINDOWS).count() as f64;
     let episode = Episode {
         repair_s,
+        accuracy: report.build.mean_test_accuracy(),
         detect_windows: (alert_window - PRE_DRIFT_WINDOWS + 1) as f64,
         false_alerts,
         alerts: monitor.alerts().len() as f64,
@@ -262,8 +302,8 @@ fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: u64) -> Result<Epis
         flush_ms: ms(flush),
         snapshot_ms: ms(snap),
         retrain_ms: ms(retrain),
-        compact_ms: ms(compact),
-        compactions: if deltas > 0 { 1.0 } else { 0.0 },
+        compact_ms: ms(compact.1 - compact.0),
+        compactions: compactions as f64,
         stages_ms: persisted.stages.iter().map(|s| (s.stage, s.wall_ms as f64)).collect(),
         promotion_ms: ms(promotion),
         meter_remaining: ev.meter_remaining.map_or(f64::NAN, |m| m as f64),
@@ -276,6 +316,23 @@ fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: u64) -> Result<Epis
 
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// Watches `live` from now until its generation passes `from` (the
+/// background compactor's commit), polling every millisecond; yields the
+/// watch's start and the commit, or `None` after [`COMPACT_DEADLINE`].
+fn watch_commit(live: &Arc<LiveStore>, from: u64) -> JoinHandle<Option<(Instant, Instant)>> {
+    let live = Arc::clone(live);
+    let start = Instant::now();
+    std::thread::spawn(move || loop {
+        if live.generation() > from {
+            return Some((start, Instant::now()));
+        }
+        if start.elapsed() > COMPACT_DEADLINE {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    })
 }
 
 /// The incremental run's persisted `report.json` (its per-stage
