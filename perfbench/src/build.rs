@@ -1,6 +1,7 @@
 //! Input generation and the build phase: the back-of-house path from the
 //! two files through all six stages of a `Run`.
 
+use crate::host::Timed;
 use crate::report::median;
 use crate::spans::Tracer;
 use crate::Ctx;
@@ -105,8 +106,8 @@ fn build_once(tracer: &Tracer, project: &Project) -> Result<Run, String> {
 pub struct Builds {
     project: Project,
     plain: Tracer,
-    traced_s: Vec<f64>,
-    plain_s: Vec<f64>,
+    traced_s: Vec<Timed>,
+    plain_s: Vec<Timed>,
     accuracies: Vec<f64>,
 }
 
@@ -126,7 +127,7 @@ impl Builds {
         let traced = ctx.tracer.enabled() && self.traced_s.len() <= self.plain_s.len();
         let t0 = Instant::now();
         let run = build_once(if traced { &ctx.tracer } else { &self.plain }, &self.project);
-        let secs = t0.elapsed().as_secs_f64();
+        let secs = Timed::since(t0);
         ctx.attempted += 1;
         match run {
             Ok(run) => {
@@ -154,8 +155,8 @@ impl Builds {
         ctx.check(accuracies.iter().all(|a| a.to_bits() == accuracies[0].to_bits()), || {
             format!("test accuracy differs across identical builds: {accuracies:?}")
         });
-        let all: Vec<f64> = self.traced_s.iter().chain(&self.plain_s).copied().collect();
-        ctx.end_to_end.put("build_s", median(&all), "s");
+        let all: Vec<Timed> = self.traced_s.iter().chain(&self.plain_s).copied().collect();
+        ctx.end_to_end.put("build_s", ctx.host.median_at_reference(&all), "s");
         if !ctx.plan.retrained_accuracy {
             ctx.end_to_end.put("test_accuracy", accuracies[0], "fraction");
         }
@@ -164,7 +165,7 @@ impl Builds {
             "build: {} rows, {} builds, {:?} s, chosen {:?}/{:?}, test accuracy {:.6}",
             run.store().len(),
             all.len(),
-            all.iter().map(|s| (s * 1e3).round() / 1e3).collect::<Vec<_>>(),
+            all.iter().map(|s| (s.value * 1e3).round() / 1e3).collect::<Vec<_>>(),
             run.chosen_config().map(|c| c.encoder),
             run.chosen_config().map(|c| c.aggregation),
             accuracies[0]
@@ -175,7 +176,7 @@ impl Builds {
     }
 }
 
-fn per_layer(ctx: &mut Ctx, run: &Run, traced_s: &[f64], plain_s: &[f64]) {
+fn per_layer(ctx: &mut Ctx, run: &Run, traced_s: &[Timed], plain_s: &[Timed]) {
     let t = &ctx.tracer;
     let stage_ms = |stage: Stage| median(&t.durations_ms(&format!("core.{}", stage.name())));
     let records = |stage: Stage| run.report().stage(stage).map_or(0, |s| s.records) as f64;
@@ -209,6 +210,7 @@ fn per_layer(ctx: &mut Ctx, run: &Run, traced_s: &[f64], plain_s: &[f64]) {
         records(Stage::Evaluate) / stage_ms(Stage::Evaluate) * 1e3,
         "rows/s",
     );
-    let (traced, plain) = (median(traced_s), median(plain_s));
+    let values = |timings: &[Timed]| timings.iter().map(|t| t.value).collect::<Vec<f64>>();
+    let (traced, plain) = (median(&values(traced_s)), median(&values(plain_s)));
     m.put("trace.build_overhead_frac", (traced - plain) / plain, "fraction");
 }

@@ -20,6 +20,11 @@
 //! of the host then moves a few samples of every metric instead of all
 //! samples of one.
 //!
+//! Between the phases the run times a fixed reference computation of its
+//! own, and the end-to-end timings are reported at a reference host
+//! speed (see `host`): on a shared virtual machine the host's speed
+//! drifts by more than any bound the end-to-end gate allows.
+//!
 //! With `--trace 0` the last line of standard output is a JSON object
 //! with the end-to-end metrics; with `--trace 1` it holds the per-layer
 //! metrics, measured from spans the benchmark records around each call
@@ -28,6 +33,7 @@
 //! without metrics and exits with status 1.
 
 mod build;
+mod host;
 mod layers;
 mod load;
 mod repair;
@@ -35,6 +41,7 @@ mod report;
 mod serve;
 mod spans;
 
+use host::{HostSpeed, Timed};
 use report::Metrics;
 use spans::Tracer;
 use std::path::PathBuf;
@@ -71,8 +78,8 @@ const PLANS: [Plan; 3] = [
     Plan {
         name: "serve",
         train_rows: 1200,
-        serve_share: 0.15,
-        episodes: 1,
+        serve_share: 0.10,
+        episodes: 2,
         retrained_accuracy: false,
     },
     Plan {
@@ -104,6 +111,9 @@ pub struct Ctx {
     /// Records spans when the run is traced; times without keeping
     /// anything otherwise.
     pub tracer: Tracer,
+    /// The reference timings between phases that put the run's timings
+    /// at the reference host speed.
+    pub host: HostSpeed,
     pub end_to_end: Metrics,
     pub per_layer: Metrics,
     /// Operations attempted and failed (requests sent, builds, repairs).
@@ -189,6 +199,7 @@ fn main() {
         nproc,
         work: work.clone(),
         tracer: Tracer::new(args.trace),
+        host: HostSpeed::new(),
         end_to_end: Metrics::default(),
         per_layer: Metrics::default(),
         attempted: 0,
@@ -256,6 +267,7 @@ fn run(ctx: &mut Ctx) {
     let inputs = build::setup_inputs(ctx);
     let start = Instant::now();
     let mut builds = build::Builds::new(ctx, &inputs);
+    ctx.host.probe();
     let Some(built) = builds.first(ctx, &inputs) else { return };
     let mut serving = serve::Serving::start(ctx, &built);
     let mut episodes = Vec::new();
@@ -266,26 +278,46 @@ fn run(ctx: &mut Ctx) {
             break;
         }
         for _ in 0..SETUPS_PER_ROUND {
-            setups.push(build::time_inputs(ctx, &inputs) + serve::time_deploy(ctx, &built));
+            ctx.host.probe();
+            let start = Instant::now();
+            let value = build::time_inputs(ctx, &inputs) + serve::time_deploy(ctx, &built);
+            setups.push(Timed { value, start, end: Instant::now() });
         }
         if round > 0 {
+            ctx.host.probe();
             builds.once(ctx);
         }
+        ctx.host.probe();
         serving.slice(ctx);
         for _ in 0..ctx.plan.episodes {
+            ctx.host.probe();
             if !repair::run_episode(ctx, &inputs, &built, &mut episodes) {
                 break;
             }
+            ctx.host.probe();
             serving.slice(ctx);
         }
         if !ctx.failures.is_empty() {
             break;
         }
     }
-    ctx.end_to_end.put("setup_s", report::median(&setups), "s");
-    let ms = setups.iter().map(|s| (s * 1e4).round() / 10.0).collect::<Vec<f64>>();
+    // The last phase's timings get a probe after them too.
+    ctx.host.probe();
+    ctx.end_to_end.put("setup_s", ctx.host.median_at_reference(&setups), "s");
+    let ms = setups.iter().map(|s| (s.value * 1e4).round() / 10.0).collect::<Vec<f64>>();
     println!("setup: {} rounds, {ms:?} ms", setups.len() / SETUPS_PER_ROUND);
     builds.report(ctx, &built);
     serving.finish(ctx);
     repair::report(ctx, &episodes);
+    println!(
+        "host speed: reference computation {:.4} ms (median of {} probes; {} ms at the \
+         reference speed); the end-to-end timings are scaled to the reference speed, the \
+         figures printed above are as measured",
+        ctx.host.reference_ms(),
+        ctx.host.probes(),
+        host::REFERENCE_MS
+    );
+    if ctx.tracer.enabled() {
+        ctx.per_layer.put("host.reference_ms", ctx.host.reference_ms(), "ms");
+    }
 }

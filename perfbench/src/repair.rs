@@ -16,6 +16,7 @@
 //! however the compaction interleaved with the retrain.
 
 use crate::build::{Built, Inputs};
+use crate::host::Timed;
 use crate::report::{mean, median};
 use crate::Ctx;
 use overton::nlp::{
@@ -43,7 +44,7 @@ const COMPACT_DEADLINE: Duration = Duration::from_secs(20);
 
 /// One episode's measurements.
 pub struct Episode {
-    repair_s: f64,
+    repair_s: Timed,
     /// Mean test accuracy of the retrained run.
     accuracy: f64,
     detect_windows: f64,
@@ -92,7 +93,8 @@ pub fn report(ctx: &mut Ctx, episodes: &[Episode]) {
         return;
     }
     let col = |f: &dyn Fn(&Episode) -> f64| episodes.iter().map(f).collect::<Vec<f64>>();
-    let repair_s = median(&col(&|e| e.repair_s));
+    let repairs: Vec<Timed> = episodes.iter().map(|e| e.repair_s).collect();
+    let repair_s = ctx.host.median_at_reference(&repairs);
     let detect = mean(&col(&|e| e.detect_windows));
     let accuracies = col(&|e| e.accuracy);
     ctx.check(accuracies.iter().all(|a| a.to_bits() == accuracies[0].to_bits()), || {
@@ -107,7 +109,7 @@ pub fn report(ctx: &mut Ctx, episodes: &[Episode]) {
         "loop: {} episodes, repair {:?} s, detect {detect:.2} windows, \
          false alerts {:?}, captured {:?}, retrained test accuracy {:.6}",
         episodes.len(),
-        col(&|e| (e.repair_s * 1e3).round() / 1e3),
+        col(&|e| (e.repair_s.value * 1e3).round() / 1e3),
         col(&|e| e.false_alerts),
         col(&|e| e.captured),
         accuracies[0]
@@ -123,7 +125,7 @@ pub fn report(ctx: &mut Ctx, episodes: &[Episode]) {
     let unattributed = col(&|e| e.retrain_ms - e.stages_ms.iter().map(|(_, ms)| ms).sum::<f64>());
     m.put("core.incremental.unattributed_ms", median(&unattributed), "ms");
     let repair_rest =
-        col(&|e| e.repair_s * 1e3 - e.capture_ms - e.flush_ms - e.snapshot_ms - e.retrain_ms);
+        col(&|e| e.repair_s.value * 1e3 - e.capture_ms - e.flush_ms - e.snapshot_ms - e.retrain_ms);
     m.put("loop.repair_unattributed_ms", median(&repair_rest), "ms");
     m.put(
         "store.live.append_rows_per_s",
@@ -220,7 +222,7 @@ fn episode(ctx: &mut Ctx, inputs: &Inputs, built: &Built, k: usize) -> Result<Ep
         let report = report.map_err(|e| format!("incremental retrain: {e}"))?;
         Ok::<_, String>((captured, capture, flush, snap, retrain, report, snapshot, commit))
     });
-    let repair_s = repair_start.elapsed().as_secs_f64();
+    let repair_s = Timed::since(repair_start);
     let (captured, capture, flush, snap, retrain, report, snapshot, commit) = repaired?;
     // The background compaction kicked before the retrain: when it
     // committed, and how many generations it committed.

@@ -7,6 +7,7 @@
 //! the capacity.
 
 use crate::build::Built;
+use crate::host::Timed;
 use crate::load::{poisson_schedule, run_open_loop, Check, Outcome, Planned, Status};
 use crate::report::{median, quantile};
 use crate::Ctx;
@@ -174,6 +175,9 @@ impl Templates {
 struct PhaseStats {
     outcomes: Vec<Outcome>,
     secs: f64,
+    /// When the phase ran.
+    start: Instant,
+    end: Instant,
 }
 
 impl PhaseStats {
@@ -228,9 +232,10 @@ fn open_loop_phase(
         }
     };
     let store = if traced { server.trace_store() } else { None };
+    let start = Instant::now();
     let outcomes =
         run_open_loop(server.local_addr(), &t.bodies, &plan, ctx.nproc, check, store.as_ref());
-    let stats = PhaseStats { outcomes, secs };
+    let stats = PhaseStats { outcomes, secs, start, end: Instant::now() };
     ctx.attempted += stats.outcomes.len() as u64;
     ctx.failed += stats.failed() as u64;
     for o in &stats.outcomes {
@@ -312,7 +317,12 @@ impl Serving {
         };
         let p50 = median(&slice_q(&self.plain, 0.5));
         let p99 = median(&slice_q(&self.plain, 0.99));
-        ctx.end_to_end.put("p50_ms", p50, "ms");
+        let p50s: Vec<Timed> = self
+            .plain
+            .iter()
+            .map(|s| Timed { value: quantile(&s.singles_ms(t), 0.5), start: s.start, end: s.end })
+            .collect();
+        ctx.end_to_end.put("p50_ms", ctx.host.median_at_reference(&p50s), "ms");
         let singles: usize = self.plain.iter().map(|s| s.singles_ms(t).len()).sum();
         println!(
             "serve: nominal {NOMINAL_RPS} req/s, {} slices, {singles} untraced singles, \
